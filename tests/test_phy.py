@@ -115,6 +115,23 @@ def _radio(medium, x, channel=1, name="r"):
     return Radio(medium, StaticMobility(Point(x, 0.0)), channel, name=name, address=name)
 
 
+def _hearers(sim, medium, channel):
+    """Addresses a probe beacon on ``channel`` reaches, in delivery order.
+
+    Delivery order is the per-receiver RNG draw order, so this observes
+    the registration-order contract directly. Needs a lossless world
+    with every radio in range of the origin.
+    """
+    order = []
+    probe = Radio(medium, StaticMobility(Point(0.0, 0.0)), channel, name="probe")
+    for radio in medium._radios:
+        radio.on_receive = lambda frame, address=radio.address: order.append(address)
+    probe.transmit(frames.beacon("probe"))
+    sim.run()
+    medium.unregister(probe)
+    return order
+
+
 class TestMedium:
     def test_unicast_delivery_same_channel(self):
         sim, medium = _world()
@@ -285,13 +302,13 @@ class TestMedium:
         _radio(medium, 0, channel=1, name="a")
         _radio(medium, 5, channel=6, name="b")
         _radio(medium, 9, channel=1, name="c")
-        assert {r.address for r in medium.radios_on_channel(1)} == {"a", "c"}
+        assert set(_hearers(sim, medium, 1)) == {"a", "c"}
 
 
 class TestMediumIndexes:
     """The indexed-medium determinism contract (DESIGN.md §6).
 
-    Delivery iterates the per-channel index in *registration* order no
+    Delivery visits a channel's radios in *registration* order no
     matter how radios retune, unregister, or re-register — that order
     is the per-receiver RNG draw order, so it is what keeps experiment
     digests byte-identical to the historical full-registry scans.
@@ -302,12 +319,12 @@ class TestMediumIndexes:
         a = _radio(medium, 0, channel=1, name="a")
         b = _radio(medium, 5, channel=6, name="b")
         c = _radio(medium, 9, channel=1, name="c")
-        assert [r.address for r in medium.radios_on_channel(1)] == ["a", "c"]
+        assert _hearers(sim, medium, 1) == ["a", "c"]
         # b retunes onto 1: registered between a and c, so it must land
         # between them, not at the end.
         b.set_channel(1)
-        assert [r.address for r in medium.radios_on_channel(1)] == ["a", "b", "c"]
-        assert medium.radios_on_channel(6) == []
+        assert _hearers(sim, medium, 1) == ["a", "b", "c"]
+        assert _hearers(sim, medium, 6) == []
 
     def test_register_retune_unregister_reregister_order(self):
         sim, medium = _world()
@@ -315,22 +332,22 @@ class TestMediumIndexes:
         b = _radio(medium, 5, channel=1, name="b")
         c = _radio(medium, 9, channel=6, name="c")
         c.set_channel(1)  # latest registrant: appends
-        assert [r.address for r in medium.radios_on_channel(1)] == ["a", "b", "c"]
+        assert _hearers(sim, medium, 1) == ["a", "b", "c"]
         medium.unregister(a)
-        assert [r.address for r in medium.radios_on_channel(1)] == ["b", "c"]
+        assert _hearers(sim, medium, 1) == ["b", "c"]
         # Re-registering is a *new* registration: a re-queues last.
         medium.register(a)
-        assert [r.address for r in medium.radios_on_channel(1)] == ["b", "c", "a"]
+        assert _hearers(sim, medium, 1) == ["b", "c", "a"]
 
     def test_unregistered_radio_may_retune_freely(self):
         sim, medium = _world()
         a = _radio(medium, 0, channel=1, name="a")
         medium.unregister(a)
         a.set_channel(6)  # must not corrupt any index
-        assert medium.radios_on_channel(6) == []
+        assert _hearers(sim, medium, 6) == []
         medium.register(a)
-        assert [r.address for r in medium.radios_on_channel(6)] == ["a"]
-        assert medium.radios_on_channel(1) == []
+        assert _hearers(sim, medium, 6) == ["a"]
+        assert _hearers(sim, medium, 1) == []
 
     def test_unicast_follows_address_index_across_unregister(self):
         sim, medium = _world()

@@ -105,7 +105,7 @@ class TestPartitionSpecRoundTrip:
         return ScenarioSpec(
             name="metro-test",
             deployment=DeploymentSpec(kind="metro", blocks_x=3, blocks_y=2, aps_per_block=1.5),
-            phy=PhySpec(spatial_index=False, handoff_period_s=0.25),
+            phy=PhySpec(handoff_period_s=0.25),
             partitions=(
                 PartitionSpec("west", 0.0, 0.0, 180.0, 240.0),
                 PartitionSpec("east", 180.0, 0.0, 360.0, 240.0),
@@ -137,7 +137,7 @@ class TestPartitionSpecRoundTrip:
 
     def test_new_fields_present_when_set(self):
         data = self._metro().to_dict()
-        assert data["phy"] == {"spatial_index": False, "handoff_period_s": 0.25}
+        assert data["phy"] == {"handoff_period_s": 0.25}
         assert [p["name"] for p in data["partitions"]] == ["west", "east"]
         assert data["deployment"]["blocks_x"] == 3
         # block_m stayed at its default, so it is still omitted.
@@ -152,6 +152,13 @@ class TestSpecValidation:
     def test_unknown_subtable_field(self):
         with pytest.raises(SpecError, match="unknown MobilitySpec field"):
             ScenarioSpec.from_dict({"mobility": {"kindd": "loop"}})
+        # Retired [phy] flags fail loudly instead of being ignored.
+        for name, value in (("kernel", "vector"), ("spatial_index", False)):
+            match = f"unknown PhySpec field.*{name}"
+            with pytest.raises(SpecError, match=match):
+                ScenarioSpec.from_dict({"phy": {name: value}})
+            with pytest.raises(SpecError, match=match):
+                ScenarioSpec.from_toml(f"[phy]\n{name} = {json.dumps(value)}\n")
 
     def test_unknown_mobility_kind(self):
         with pytest.raises(SpecError, match="mobility kind"):
