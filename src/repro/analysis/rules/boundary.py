@@ -1,13 +1,13 @@
 """SL010: process/socket primitives stay inside the backend package.
 
 The exec engine's contract is that *placement* — spawning workers,
-talking to remote hosts, pooling processes — lives behind the
+feeding a job spool, pooling processes — lives behind the
 ``ExecutionBackend`` ABC in ``repro.exec.backend``. Everything else
 (orchestration, experiments, the simulator itself) reasons about
 shards and futures, never about processes. A stray
 ``subprocess.run(...)`` in an experiment or a private
 ``ProcessPoolExecutor`` in an analysis module bypasses the backend's
-fault handling (retries, heartbeats, blacklists, degradation) and its
+fault handling (retries, timeouts, inline degradation) and its
 telemetry, and couples results to the host in ways the determinism
 rules can't see.
 

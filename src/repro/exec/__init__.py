@@ -5,7 +5,7 @@ runs and per-configuration rows); this package turns that into wall
 clock: a shard protocol experiments opt into (`shards.py`), a
 fault-tolerant execution engine with retry and sequential fallback
 (`workers.py`) over pluggable placement backends (`backend/` — local
-pool, SSH workers, filesystem job queue), a content-addressed result
+process pool, filesystem job queue), a content-addressed result
 cache keyed on parameters + code version (`cache.py`), an append-only
 campaign journal that makes killed campaigns resumable (`journal.py`),
 and the campaign orchestrator that keeps distributed output
@@ -23,7 +23,6 @@ from repro.exec.backend import (
     LocalPoolBackend,
     QueueDirBackend,
     RemoteShardError,
-    SubprocessSSHBackend,
     WorkerTimeout,
     make_backend,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "ShardError",
     "ShardOutcome",
     "ShardPlan",
-    "SubprocessSSHBackend",
     "WorkerTimeout",
     "build_plan",
     "campaign_manifest",

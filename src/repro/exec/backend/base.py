@@ -4,9 +4,9 @@
 retry/backoff, shard-order results, inline degradation — but is
 agnostic about *where* a shard executes. That question is this
 package's: an :class:`ExecutionBackend` accepts a
-:class:`ShardRequest`, runs it somewhere (a local process pool, a
-remote worker over a stdio RPC pipe, a filesystem job queue), and hands
-back a :class:`BackendFuture` resolving to the shard's payload.
+:class:`ShardRequest`, runs it somewhere (a local process pool or a
+filesystem job queue), and hands back a :class:`BackendFuture`
+resolving to the shard's payload.
 
 The contract the orchestrator relies on:
 
@@ -23,11 +23,10 @@ The contract the orchestrator relies on:
   in-process sequential execution, exactly like the historical
   ``BrokenProcessPool`` path.
 - :meth:`ExecutionBackend.capacity` is the number of shards the
-  backend can run concurrently *right now* (blacklisted hosts and dead
-  workers excluded); 0 means "do not submit".
-- :meth:`ExecutionBackend.health` is a JSON-able snapshot for
-  telemetry and operators; :meth:`ExecutionBackend.shutdown` releases
-  workers without waiting for stuck ones.
+  backend can run concurrently *right now* (dead workers excluded);
+  0 means "do not submit".
+- :meth:`ExecutionBackend.shutdown` releases workers without waiting
+  for stuck ones.
 
 Backends emit ``backend.*`` trace events (taxonomy in
 :mod:`repro.obs.trace`) when a bus is attached; timestamps are wall
@@ -37,13 +36,10 @@ seconds since the backend started — harness time, never sim time.
 from __future__ import annotations
 
 import abc
-import base64
-import pickle
-import threading
+import math
 import time
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.obs.trace import TraceBus
 
@@ -57,7 +53,7 @@ class BackendBroken(BackendError):
 
 
 class WorkerTimeout(BackendError):
-    """A worker stopped heartbeating or died mid-shard; retryable."""
+    """A worker died mid-shard; retryable."""
 
 
 class RemoteShardError(BackendError):
@@ -96,56 +92,10 @@ class BackendFuture(abc.ABC):
         """Block until the payload is ready (or ``timeout`` passes)."""
 
 
-class SettableFuture(BackendFuture):
-    """Event-backed future the backend resolves from a reader thread.
-
-    ``watchdog`` (if given) runs once per wait slice and may raise to
-    fail the wait early — the SSH backend uses it to enforce heartbeat
-    deadlines without a dedicated monitor thread.
-    """
-
-    _POLL = 0.05
-
-    def __init__(self, watchdog: Optional[Callable[[], None]] = None):
-        self._event = threading.Event()
-        self._payload: Optional[Dict[str, Any]] = None
-        self._error: Optional[BaseException] = None
-        self._watchdog = watchdog
-
-    def set_result(self, payload: Dict[str, Any]) -> None:
-        self._payload = payload
-        self._event.set()
-
-    def set_exception(self, error: BaseException) -> None:
-        if not self._event.is_set():
-            self._error = error
-            self._event.set()
-
-    @property
-    def done(self) -> bool:
-        return self._event.is_set()
-
-    def result(self, timeout: Optional[float] = None) -> Dict[str, Any]:
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while not self._event.is_set():
-            if self._watchdog is not None:
-                self._watchdog()
-                if self._event.is_set():
-                    break
-            remaining = self._POLL if deadline is None else min(self._POLL, deadline - time.monotonic())
-            if remaining <= 0:
-                raise FutureTimeoutError()
-            self._event.wait(remaining)
-        if self._error is not None:
-            raise self._error
-        assert self._payload is not None
-        return self._payload
-
-
 class ExecutionBackend(abc.ABC):
     """Abstract "where shards run"; see the module docstring."""
 
-    #: Short backend id for telemetry/trace/health ("pool", "ssh", "queue").
+    #: Short backend id for telemetry and trace: a shard's source ("pool", "queue").
     name: str = "backend"
 
     def __init__(self, bus: Optional[TraceBus] = None):
@@ -159,10 +109,6 @@ class ExecutionBackend(abc.ABC):
     @abc.abstractmethod
     def capacity(self) -> int:
         """Usable concurrent-shard slots right now (0 = don't submit)."""
-
-    def health(self) -> Dict[str, Any]:
-        """JSON-able status snapshot; subclasses extend the base dict."""
-        return {"backend": self.name, "capacity": self.capacity()}
 
     @abc.abstractmethod
     def shutdown(self, wait: bool = False) -> None:
@@ -179,31 +125,12 @@ class ExecutionBackend(abc.ABC):
         return time.monotonic() - self._t0
 
 
-# -- wire helpers ------------------------------------------------------------
-#
-# Shard parameters and results are arbitrary picklable values, but the
-# RPC envelopes (stdio lines, spool task files) are JSON for
-# inspectability. Pickle-inside-base64 bridges the two without mangling
-# tuples into lists the way raw JSON would — tuple-vs-list matters to
-# cache keys' spelling stability and to experiments' parameter types.
-
-
-def encode_payload(value: Any) -> str:
-    """Pickle ``value`` and wrap it base64 for a JSON envelope."""
-    return base64.b64encode(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)).decode("ascii")
-
-
-def decode_payload(text: str) -> Any:
-    """Inverse of :func:`encode_payload`."""
-    return pickle.loads(base64.b64decode(text.encode("ascii")))
-
-
 # -- backend spec parsing ----------------------------------------------------
 #
-# The CLI selects a backend with one string (the ``backend.*`` config
-# surface): ``local[:N]``, ``ssh:host[*slots][,host...][?opt=v&...]``,
-# ``queuedir:PATH[?workers=N&...]``. Options after ``?`` are the
-# backend's keyword knobs; unknown options fail fast.
+# The CLI selects a backend with one string: ``local[:N]`` or
+# ``queuedir:PATH[?workers=N&poll=S]``. Options after ``?`` are the
+# backend's keyword knobs. :func:`check_backend_spec` rejects any bad
+# spec before a worker starts.
 
 
 def parse_backend_spec(spec: str) -> Tuple[str, str, Dict[str, str]]:
@@ -220,14 +147,45 @@ def parse_backend_spec(spec: str) -> Tuple[str, str, Dict[str, str]]:
     return kind.strip().lower(), arg, options
 
 
-def _float_option(options: Dict[str, str], key: str, default: float) -> float:
-    raw = options.pop(key, None)
-    return default if raw is None else float(raw)
+def check_backend_spec(spec: str) -> Tuple[str, Dict[str, Any]]:
+    """Check ``spec`` fully (kind, options, numbers) without starting
+    anything; return ``(kind, kwargs)`` for the backend constructor.
 
+    Raises :class:`ValueError` with a one-line message naming the spec.
+    A ``queuedir`` spec without ``workers=`` leaves the count to the
+    caller's ``jobs``.
+    """
+    kind, arg, options = parse_backend_spec(spec)
 
-def _int_option(options: Dict[str, str], key: str, default: int) -> int:
-    raw = options.pop(key, None)
-    return default if raw is None else int(raw)
+    def bad(reason: str) -> ValueError:
+        return ValueError(f"backend spec {spec!r}: {reason}")
+
+    def number(text: str, what: str, cast: Callable[[str], Any]) -> Any:
+        try:
+            return cast(text)
+        except ValueError:
+            noun = "an integer" if cast is int else "a number"
+            raise bad(f"{what} must be {noun}, got {text!r}") from None
+
+    if kind == "local":
+        if options:
+            raise bad("local takes no ?options")
+        return kind, ({"max_workers": number(arg, "worker count", int)} if arg else {})
+    if kind == "queuedir":
+        if not arg:
+            raise bad("queuedir needs a spool path")
+        kwargs: Dict[str, Any] = {"root": arg}
+        if "workers" in options:
+            kwargs["workers"] = number(options.pop("workers"), "workers", int)
+        if "poll" in options:
+            poll = number(options.pop("poll"), "poll", float)
+            if not (poll >= 0 and math.isfinite(poll)):
+                raise bad(f"poll must be a finite number of seconds >= 0, got {poll!r}")
+            kwargs["poll_interval"] = poll
+        if options:
+            raise bad(f"unknown option(s) {sorted(options)}")
+        return kind, kwargs
+    raise bad(f"unknown backend kind {kind!r} (known: local, queuedir)")
 
 
 def make_backend(
@@ -241,46 +199,14 @@ def make_backend(
     """
     if spec is None:
         return None
-    kind, arg, options = parse_backend_spec(spec)
+    kind, kwargs = check_backend_spec(spec)
     if kind == "local":
-        if options:
-            raise ValueError(f"backend spec {spec!r}: local takes no ?options")
-        if not arg:
+        if not kwargs:
             return None
         from repro.exec.backend.local import LocalPoolBackend
 
-        return LocalPoolBackend(max_workers=int(arg), bus=bus)
-    if kind == "ssh":
-        from repro.exec.backend.ssh import HostSpec, SubprocessSSHBackend
+        return LocalPoolBackend(bus=bus, **kwargs)
+    from repro.exec.backend.queuedir import QueueDirBackend
 
-        if not arg:
-            raise ValueError(f"backend spec {spec!r}: ssh needs host[,host...]")
-        hosts: List[HostSpec] = []
-        for chunk in arg.split(","):
-            host, _, slots = chunk.partition("*")
-            if not host:
-                raise ValueError(f"backend spec {spec!r}: empty host in {chunk!r}")
-            hosts.append(HostSpec(host=host.strip(), slots=int(slots) if slots else 1))
-        heartbeat = _float_option(options, "heartbeat", 30.0)
-        hb_interval = _float_option(options, "hb-interval", 1.0)
-        blacklist_after = _int_option(options, "blacklist-after", 3)
-        if options:
-            raise ValueError(f"backend spec {spec!r}: unknown option(s) {sorted(options)}")
-        return SubprocessSSHBackend(
-            hosts,
-            heartbeat_timeout=heartbeat,
-            hb_interval=hb_interval,
-            blacklist_after=blacklist_after,
-            bus=bus,
-        )
-    if kind == "queuedir":
-        from repro.exec.backend.queuedir import QueueDirBackend
-
-        if not arg:
-            raise ValueError(f"backend spec {spec!r}: queuedir needs a spool path")
-        workers = _int_option(options, "workers", jobs)
-        poll = _float_option(options, "poll", 0.05)
-        if options:
-            raise ValueError(f"backend spec {spec!r}: unknown option(s) {sorted(options)}")
-        return QueueDirBackend(arg, workers=workers, poll_interval=poll, bus=bus)
-    raise ValueError(f"unknown backend kind {kind!r} (known: local, ssh, queuedir)")
+    kwargs.setdefault("workers", jobs)
+    return QueueDirBackend(bus=bus, **kwargs)

@@ -60,7 +60,6 @@ class LocalPoolBackend(ExecutionBackend):
             # The host refuses worker processes; the orchestrator's
             # BackendBroken handling degrades to inline execution.
             raise BackendBroken(f"cannot start process pool: {exc!r}") from exc
-        self._submitted = 0
 
     def submit(self, request: ShardRequest) -> BackendFuture:
         pool = self._pool
@@ -72,16 +71,10 @@ class LocalPoolBackend(ExecutionBackend):
             )
         except (BrokenExecutor, RuntimeError) as exc:
             raise BackendBroken(f"process pool rejected submit: {exc!r}") from exc
-        self._submitted += 1
         return _PoolFuture(future, worker=self.name)
 
     def capacity(self) -> int:
         return 0 if self._pool is None else self.max_workers
-
-    def health(self) -> Dict[str, Any]:
-        health = super().health()
-        health.update(workers=self.max_workers, submitted=self._submitted)
-        return health
 
     def shutdown(self, wait: bool = False) -> None:
         pool, self._pool = self._pool, None

@@ -273,20 +273,6 @@ class QueueDirBackend(ExecutionBackend):
             return 1  # external workers: assume at least one is attached
         return sum(1 for proc in self._procs if proc.poll() is None) or self.workers
 
-    def health(self) -> Dict[str, Any]:
-        try:
-            pending = sum(1 for _ in (self.root / PENDING).iterdir())
-        except OSError:
-            pending = 0
-        return {
-            "backend": self.name,
-            "capacity": self.capacity(),
-            "spool": str(self.root),
-            "pending": pending,
-            "workers": sum(1 for proc in self._procs if proc.poll() is None),
-            "spawned": self._spawned,
-        }
-
     def shutdown(self, wait: bool = False) -> None:
         self._shutdown = True
         try:

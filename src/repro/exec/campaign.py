@@ -72,7 +72,7 @@ class ExperimentExecution:
 
     def sources(self) -> Dict[str, int]:
         """Executed-shard counts by source (cache excluded): ``pool``,
-        ``inline``, or whichever backend ran them (``ssh``, ``queue``)."""
+        ``inline``, or whichever backend ran them (e.g. ``queue``)."""
         counts: Dict[str, int] = {}
         for outcome in self.outcomes:
             if outcome.source != SOURCE_CACHE:

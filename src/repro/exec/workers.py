@@ -9,7 +9,7 @@ Execution strategy, in order of preference:
 2. **Backend** — remaining shards fan out through an
    :class:`~repro.exec.backend.ExecutionBackend`: the local process
    pool by default (``jobs`` workers), or whatever ``--backend``
-   selected (SSH workers, a queue-dir spool). Each shard gets a
+   selected (a sized local pool, a queue-dir spool). Each shard gets a
    per-shard timeout and a bounded number of retries with exponential
    backoff; a shard that keeps failing in the backend gets one final
    in-process attempt before the run is declared failed.
@@ -17,8 +17,7 @@ Execution strategy, in order of preference:
    single pending shard (no pool overhead, default backend only), and
    as the graceful degradation path when the backend dies
    (:class:`~repro.exec.backend.BackendBroken`: the pool's workers
-   were OOM-killed, every SSH host is blacklisted, the spool is
-   unserviced).
+   were OOM-killed, or the spool's workers keep dying).
 
 Whatever the path, outcomes are returned **in shard order**, never in
 completion order — together with the experiments' pure ``merge`` this
@@ -58,8 +57,6 @@ from repro.obs.spans import (
 SOURCE_CACHE = "cache"
 SOURCE_POOL = "pool"
 SOURCE_INLINE = "inline"
-SOURCE_SSH = "ssh"
-SOURCE_QUEUE = "queue"
 
 
 class ShardError(RuntimeError):

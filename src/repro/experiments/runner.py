@@ -215,6 +215,19 @@ def _exec_requested(args) -> bool:
     )
 
 
+def _backend_spec_ok(spec: str, origin: str) -> bool:
+    """Check a backend spec before anything runs; on a bad one print a
+    one-line error naming where it came from and return False."""
+    from repro.exec.backend import check_backend_spec
+
+    try:
+        check_backend_spec(spec)
+    except ValueError as exc:
+        print(f"error: {origin}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _make_cache(args):
     if args.no_cache:
         return None
@@ -380,7 +393,7 @@ def _run_campaign(names, args) -> int:
     the campaign's wall-time span tree (one ``shard:<key>`` lane per
     executed shard); ``--flight`` arms a crash post-mortem dump.
 
-    ``--backend`` places shards (local pool, SSH workers, queue dir);
+    ``--backend`` places shards (local pool or queue dir);
     ``--journal`` records the campaign durably; ``--resume JOURNAL``
     re-runs a killed campaign against the same cache, so completed
     shards are skipped and the merged output is byte-identical to an
@@ -416,6 +429,8 @@ def _run_campaign(names, args) -> int:
             args.cache_dir = resume_state.cache_dir
         if args.backend is None and resume_state.backend:
             args.backend = resume_state.backend
+            if not _backend_spec_ok(args.backend, f"journal {args.resume}"):
+                return 2
         print(resume_state.summary_line())
 
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
@@ -598,8 +613,8 @@ def main(argv: Optional[list] = None) -> int:
         default=None,
         metavar="SPEC",
         help=(
-            "shard placement: local[:N] | ssh:host[*slots],...[?heartbeat=S] |"
-            " queuedir:PATH[?workers=N] (default: local pool)"
+            "shard placement: local[:N] | queuedir:PATH[?workers=N&poll=S]"
+            " (default: local pool)"
         ),
     )
     parser.add_argument(
@@ -675,15 +690,8 @@ def main(argv: Optional[list] = None) -> int:
         parser.error("--jobs must be >= 1")
     if args.die_after is not None and args.die_after < 1:
         parser.error("--die-after must be >= 1")
-    if args.backend is not None:
-        from repro.exec.backend import parse_backend_spec
-
-        try:
-            kind, _, _ = parse_backend_spec(args.backend)
-            if kind not in ("local", "ssh", "queuedir"):
-                raise ValueError(f"unknown backend kind {kind!r} (known: local, ssh, queuedir)")
-        except ValueError as exc:
-            parser.error(str(exc))
+    if args.backend is not None and not _backend_spec_ok(args.backend, "--backend"):
+        return 2
     if args.command != "campaign" and (args.resume or args.journal or args.die_after):
         parser.error("--resume/--journal/--die-after apply to the campaign command")
 

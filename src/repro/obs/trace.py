@@ -93,8 +93,6 @@ RUN_SEGMENT = "run.segment"  # segment, offset — a new simulator adopted the b
 # not simulated time.
 BACKEND_SUBMIT = "backend.submit"  # backend, key, worker
 BACKEND_RESULT = "backend.result"  # backend, key, worker, ok, worker_seconds
-BACKEND_WORKER_DEAD = "backend.worker_dead"  # backend, worker, reason
-BACKEND_BLACKLIST = "backend.blacklist"  # backend, host, failures
 
 # driver: join lifecycle and AP selection policy
 DRIVER_JOIN = "driver.join"  # client, ap, channel

@@ -68,12 +68,6 @@ def die_unless_parent(parent_pid: int, value=0):
     return value
 
 
-def sleep_value(sleep_s: float, value=0):
-    """Sleeps, then returns — a shard with real (tunable) duration."""
-    time.sleep(sleep_s)
-    return value
-
-
 def die_first_attempt(counter_path: str, parent_pid: int, value=0):
     """Kills its worker process on the first call only (crash + retry).
 
@@ -83,19 +77,4 @@ def die_first_attempt(counter_path: str, parent_pid: int, value=0):
     """
     if bump(counter_path) == 1 and os.getpid() != parent_pid:
         os._exit(17)
-    return value
-
-
-def freeze_first_attempt(counter_path: str, parent_pid: int, value=0):
-    """SIGSTOPs its own worker process on the first call only.
-
-    A stopped worker keeps its pipes open but stops heartbeating —
-    exactly the "alive but wedged" failure the heartbeat watchdog
-    exists to catch (EOF detection never fires). Never freezes the
-    orchestrator process itself (``parent_pid``).
-    """
-    import signal
-
-    if bump(counter_path) == 1 and os.getpid() != parent_pid:
-        os.kill(os.getpid(), signal.SIGSTOP)
     return value

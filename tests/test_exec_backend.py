@@ -1,30 +1,24 @@
-"""Tests for ``repro.exec.backend``: the ABC contract and all three
+"""Tests for ``repro.exec.backend``: the ABC contract and both
 implementations, with emphasis on the failure paths the orchestrator's
 retry/degradation logic depends on.
-
-The SSH backend is exercised against ``localhost``, where the command
-prefix is empty and the "remote" worker is a plain subprocess speaking
-the same stdio RPC — no sshd involved.
 """
 
 import os
-import time
 
 import pytest
 
 from repro.exec import ExecPolicy, execute_shards
 from repro.exec.backend import (
     BackendBroken,
-    HostSpec,
     LocalPoolBackend,
     QueueDirBackend,
     RemoteShardError,
-    SubprocessSSHBackend,
     WorkerTimeout,
+    check_backend_spec,
     make_backend,
     parse_backend_spec,
 )
-from repro.exec.backend.base import SettableFuture, ShardRequest
+from repro.exec.backend.base import ShardRequest
 from repro.exec.backend.queue_worker import CLAIMED, PENDING, claim_one, drain, write_atomic
 from repro.exec.shards import Shard
 from repro.exec.workers import SOURCE_INLINE
@@ -55,7 +49,6 @@ class TestBackendSpec:
     def test_parse_kinds(self):
         assert parse_backend_spec("local") == ("local", "", {})
         assert parse_backend_spec("local:4") == ("local", "4", {})
-        assert parse_backend_spec("ssh:a*2,b") == ("ssh", "a*2,b", {})
         kind, arg, options = parse_backend_spec("queuedir:/tmp/q?workers=3&poll=0.1")
         assert (kind, arg) == ("queuedir", "/tmp/q")
         assert options == {"workers": "3", "poll": "0.1"}
@@ -80,15 +73,46 @@ class TestBackendSpec:
         with pytest.raises(ValueError, match="nope"):
             make_backend("queuedir:/tmp/q?nope=1")
 
-    def test_ssh_spec_hosts_and_slots(self):
-        backend = make_backend("ssh:localhost*2?heartbeat=5&blacklist-after=2")
-        try:
-            assert isinstance(backend, SubprocessSSHBackend)
-            assert backend.capacity() == 2
-            assert backend.heartbeat_timeout == 5.0
-            assert backend.blacklist_after == 2
-        finally:
-            backend.shutdown()
+    def test_queuedir_spec_leaves_workers_to_jobs(self, tmp_path):
+        spool = tmp_path / "q"
+        assert check_backend_spec(f"queuedir:{spool}?poll=0.5") == (
+            "queuedir",
+            {"root": str(spool), "poll_interval": 0.5},
+        )
+        assert not spool.exists()  # checking starts nothing
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("ssh:alpha*4", "unknown backend kind 'ssh'"),
+            ("local:abc", "worker count must be an integer, got 'abc'"),
+            ("local:2?workers=2", "local takes no"),
+            ("queuedir:{q}?bogus=1", r"unknown option\(s\) \['bogus'\]"),
+            ("queuedir:{q}?workers=two", "workers must be an integer"),
+            ("queuedir:{q}?poll=fast", "poll must be a number"),
+            ("queuedir:{q}?poll=-1", "poll must be a finite number"),
+            ("queuedir:{q}?poll", "malformed option"),
+            ("queuedir:", "needs a spool path"),
+        ],
+    )
+    def test_bad_spec_rejected_before_anything_starts(self, tmp_path, spec, message):
+        spool = tmp_path / "q"
+        spec = spec.format(q=spool)
+        with pytest.raises(ValueError, match=message):
+            check_backend_spec(spec)
+        with pytest.raises(ValueError, match=message):
+            make_backend(spec, jobs=2)
+        assert not spool.exists()
+
+    @pytest.mark.parametrize("spec", ["local:abc", "queuedir:/q?bogus=1", "ssh:alpha*4"])
+    def test_cli_rejects_bad_spec_with_one_line(self, capsys, spec):
+        from repro.experiments import runner
+
+        assert runner.main(["run", "fig2", "--fast", "--backend", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --backend: backend spec ")
+        assert captured.err.count("\n") == 1
 
 
 # -- the generic orchestrator over a scriptable fake ----------------------
@@ -124,9 +148,6 @@ class _ScriptedBackend:
 
     def capacity(self):
         return 2
-
-    def health(self):
-        return {"backend": self.name}
 
     def shutdown(self, wait=False):
         pass
@@ -230,144 +251,6 @@ class TestLocalPoolBackend:
             backend.shutdown()
 
 
-# -- SubprocessSSHBackend (localhost = plain subprocess) -------------------
-
-
-class TestSubprocessSSHBackend:
-    def backend(self, **kwargs):
-        defaults = dict(
-            hosts=[HostSpec("localhost", slots=2)],
-            heartbeat_timeout=10.0,
-            hb_interval=0.1,
-            blacklist_after=3,
-        )
-        defaults.update(kwargs)
-        return SubprocessSSHBackend(**defaults)
-
-    def test_round_trip_in_shard_order(self):
-        backend = self.backend()
-        try:
-            outcomes = execute_shards(
-                STUB,
-                "shard_value",
-                value_shards(4),
-                quick_policy(shard_timeout=60),
-                backend=backend,
-            )
-            assert [o.result for o in outcomes] == [0, 1, 2, 3]
-            assert all(o.source == "ssh" for o in outcomes)
-            assert all(o.worker.startswith("localhost/") for o in outcomes)
-        finally:
-            backend.shutdown()
-
-    def test_clean_shard_failure_does_not_count_against_host(self, tmp_path):
-        backend = self.backend()
-        try:
-            shard = Shard(
-                key="flaky", params={"counter_path": str(tmp_path / "c"), "fail_times": 1}
-            )
-            outcomes = execute_shards(
-                STUB,
-                "flaky",
-                [shard],
-                quick_policy(max_retries=2, shard_timeout=60),
-                backend=backend,
-            )
-            assert outcomes[0].result == 0
-            assert outcomes[0].attempts == 2
-            health = backend.health()
-            assert health["hosts"][0]["failures"] == 0
-            assert not health["hosts"][0]["blacklisted"]
-        finally:
-            backend.shutdown()
-
-    def test_worker_death_resubmits_and_counts_host_failure(self, tmp_path):
-        backend = self.backend()
-        try:
-            shard = Shard(
-                key="crash",
-                params={"counter_path": str(tmp_path / "c"), "parent_pid": os.getpid()},
-            )
-            outcomes = execute_shards(
-                STUB,
-                "die_first_attempt",
-                [shard],
-                quick_policy(max_retries=2, shard_timeout=60),
-                backend=backend,
-            )
-            assert outcomes[0].result == 0
-            assert outcomes[0].attempts >= 2
-            assert outcomes[0].source == "ssh"
-            assert backend.health()["hosts"][0]["failures"] >= 1
-        finally:
-            backend.shutdown()
-
-    def test_heartbeat_timeout_declares_wedged_worker_dead(self, tmp_path):
-        backend = self.backend(heartbeat_timeout=1.0)
-        try:
-            shard = Shard(
-                key="frozen",
-                params={"counter_path": str(tmp_path / "c"), "parent_pid": os.getpid()},
-            )
-            started = time.monotonic()
-            outcomes = execute_shards(
-                STUB,
-                "freeze_first_attempt",
-                [shard],
-                quick_policy(max_retries=2, shard_timeout=60),
-                backend=backend,
-            )
-            assert outcomes[0].result == 0
-            assert outcomes[0].attempts >= 2
-            # The watchdog fired on the heartbeat deadline, not on the
-            # 60 s caller timeout.
-            assert time.monotonic() - started < 30
-            assert backend.health()["hosts"][0]["failures"] >= 1
-        finally:
-            backend.shutdown()
-
-    def test_blacklist_after_repeated_failures_then_inline_degradation(self, tmp_path):
-        backend = self.backend(blacklist_after=2, hosts=[HostSpec("localhost", slots=1)])
-        try:
-            shards = [
-                Shard(key=f"s{i}", params={"parent_pid": os.getpid(), "value": i})
-                for i in range(3)
-            ]
-            outcomes = execute_shards(
-                STUB,
-                "die_unless_parent",
-                shards,
-                quick_policy(max_retries=3, shard_timeout=60),
-                backend=backend,
-            )
-            # Everything still completes — inline, once the only host is
-            # blacklisted and the backend declares itself broken.
-            assert [o.result for o in outcomes] == [0, 1, 2]
-            assert outcomes[-1].source == SOURCE_INLINE
-            health = backend.health()
-            assert health["hosts"][0]["blacklisted"]
-            assert health["capacity"] == 0
-        finally:
-            backend.shutdown()
-
-    def test_submit_after_blacklist_raises_backend_broken(self):
-        backend = self.backend(blacklist_after=1, hosts=[HostSpec("localhost", slots=1)])
-        try:
-            dead = ShardRequest(
-                experiment="stub",
-                module_name=STUB,
-                func_name="die_unless_parent",
-                key="die",
-                params={"parent_pid": 0},
-            )
-            with pytest.raises((WorkerTimeout, BackendBroken)):
-                backend.submit(dead).result(timeout=30)
-            with pytest.raises(BackendBroken):
-                backend.submit(request())
-        finally:
-            backend.shutdown()
-
-
 # -- QueueDirBackend ------------------------------------------------------
 
 
@@ -445,6 +328,27 @@ class TestQueueDirBackend:
         finally:
             backend.shutdown()
 
+    def test_worker_death_resubmits(self, tmp_path):
+        backend = QueueDirBackend(tmp_path / "spool", workers=1, poll_interval=0.01)
+        try:
+            shard = Shard(
+                key="crash",
+                params={"counter_path": str(tmp_path / "c"), "parent_pid": os.getpid(), "value": 7},
+            )
+            outcomes = execute_shards(
+                STUB,
+                "die_first_attempt",
+                [shard],
+                quick_policy(max_retries=2, shard_timeout=60),
+                backend=backend,
+            )
+            # The dead worker's orphaned claim is reaped (WorkerTimeout),
+            # the shard is resubmitted, and a respawned worker runs it.
+            assert [(o.result, o.source, o.attempts) for o in outcomes] == [(7, "queue", 2)]
+            assert outcomes[0].worker.startswith("queue-worker/")
+        finally:
+            backend.shutdown()
+
     def test_stop_marker_cleared_on_reuse(self, tmp_path):
         spool = tmp_path / "spool"
         first = QueueDirBackend(spool, workers=0)
@@ -455,33 +359,3 @@ class TestQueueDirBackend:
             assert not (spool / "stop").exists()  # resume restarts service
         finally:
             second.shutdown()
-
-
-# -- SettableFuture -------------------------------------------------------
-
-
-class TestSettableFuture:
-    def test_timeout(self):
-        with pytest.raises(Exception):
-            SettableFuture().result(timeout=0.05)
-
-    def test_watchdog_runs_each_slice_and_may_fail_the_wait(self):
-        future = SettableFuture()
-        calls = []
-
-        def watchdog():
-            calls.append(1)
-            if len(calls) >= 3:
-                future.set_exception(WorkerTimeout("watchdog gave up"))
-
-        future._watchdog = watchdog
-        with pytest.raises(WorkerTimeout):
-            future.result(timeout=10)
-        assert len(calls) == 3
-
-    def test_first_exception_wins(self):
-        future = SettableFuture()
-        future.set_exception(WorkerTimeout("first"))
-        future.set_exception(WorkerTimeout("second"))
-        with pytest.raises(WorkerTimeout, match="first"):
-            future.result(timeout=1)

@@ -14,11 +14,9 @@ from repro.exec import (
     JournalError,
     QueueDirBackend,
     ResultCache,
-    SubprocessSSHBackend,
     load_journal,
     run_campaign,
 )
-from repro.exec.backend.ssh import HostSpec
 from repro.exec.cache import canonical_text
 
 
@@ -101,18 +99,14 @@ def _backend_none(tmp_path):
     return None
 
 
-def _backend_ssh(tmp_path):
-    return SubprocessSSHBackend([HostSpec("localhost", slots=2)], hb_interval=0.1)
-
-
 def _backend_queue(tmp_path):
     return QueueDirBackend(tmp_path / "spool", workers=2)
 
 
 @pytest.mark.parametrize(
     "make_backend",
-    [_backend_none, _backend_ssh, _backend_queue],
-    ids=["default-pool", "ssh-localhost", "queuedir"],
+    [_backend_none, _backend_queue],
+    ids=["default-pool", "queuedir"],
 )
 class TestKillResumeByteIdentity:
     """The acceptance criterion, per backend: kill a campaign mid-run,
@@ -269,3 +263,21 @@ class TestRunnerResumeCli:
         code = runner.main(["campaign", "--resume", "j.jsonl"])
         assert code == 2
         assert "journal" in capsys.readouterr().err
+
+    def test_resume_with_removed_backend_kind_fails(self, tmp_path, capsys, monkeypatch):
+        """A journal recorded with a backend this version no longer has
+        (``ssh:``) fails the resume up front: exit 2, one line, nothing run."""
+        from repro.experiments import runner
+
+        monkeypatch.chdir(tmp_path)
+        with CampaignJournal(tmp_path / "j.jsonl") as journal:
+            journal.begin(["fig3"], True, "ssh:alpha*4", "cache", "v")
+        code = runner.main(["campaign", "--resume", "j.jsonl"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: journal j.jsonl: backend spec 'ssh:alpha*4':"
+            " unknown backend kind 'ssh' (known: local, queuedir)\n"
+        )
+        assert not (tmp_path / "cache").exists()

@@ -650,7 +650,7 @@ class TestBackendBoundary:
             import subprocess
             import socket
             from concurrent.futures import ProcessPoolExecutor
-        """, module="repro.exec.backend.ssh"), select=["SL010"])
+        """, module="repro.exec.backend.queuedir"), select=["SL010"])
         assert run.findings == []
 
     def test_backend_allow_globs_exempt(self):
